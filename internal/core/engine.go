@@ -84,12 +84,13 @@ type Config struct {
 	Retention time.Duration
 	// Slack is the tolerated out-of-order arrival lag.
 	Slack time.Duration
-	// EnableSummaries turns on continuous statistics collection (degree,
+	// EnableSummaries turns on continuous statistics collection (totals,
 	// type and triad distributions) used by the selective planner.
 	EnableSummaries bool
 	// TriadSampling is the 1-in-n sampling rate for triad statistics
-	// (0 disables triads, 1 counts every edge). Only used when summaries
-	// are enabled.
+	// (0 disables triads, 1 counts every edge). A counted edge costs a
+	// small constant at any endpoint degree, so the rate sets only the
+	// triad table's resolution. Only used when summaries are enabled.
 	TriadSampling int
 	// PruneInterval is the number of processed edges between partial-match
 	// pruning sweeps. Zero uses the default of 1024.

@@ -6,8 +6,9 @@ import (
 )
 
 // Graph is an in-memory multi-relational property multigraph. It maintains
-// per-vertex incidence lists split by direction, plus type indexes used by
-// the query planner and the local-search primitive.
+// per-vertex incidence lists split by direction, per-vertex leg counts (see
+// Leg), plus type indexes used by the query planner and the local-search
+// primitive.
 //
 // Graph is not safe for concurrent mutation; the continuous engine serializes
 // updates per stream partition. Read-only concurrent access after loading is
@@ -16,8 +17,9 @@ type Graph struct {
 	vertices map[VertexID]*Vertex
 	edges    map[EdgeID]*Edge
 
-	out map[VertexID][]*Edge
-	in  map[VertexID][]*Edge
+	// adj holds the incidence of every vertex with at least one incident
+	// edge; an entry is dropped with the vertex's last incident edge.
+	adj map[VertexID]*incidence
 
 	verticesByType map[string]map[VertexID]struct{}
 	edgesByType    map[string]int
@@ -25,6 +27,42 @@ type Graph struct {
 	// autoVertex controls whether AddEdge creates missing endpoints with an
 	// empty type instead of failing.
 	autoVertex bool
+}
+
+// incidence is one vertex's incidence lists and their leg counts. Most
+// vertices have a single leg, which leg0 holds without an allocation.
+type incidence struct {
+	out, in []*Edge
+	legs    []Leg
+	leg0    [1]Leg
+}
+
+// Leg counts the incidence-list entries of one vertex that share an edge
+// type and an orientation. Out is Source == vertex for either list's
+// entries, so a self-loop counts twice as out. The triad statistics read
+// these counts, so their upkeep does not depend on the vertex's degree.
+type Leg struct {
+	Type  string
+	Count int32
+	Out   bool
+}
+
+// addLeg adds delta to the (typ, out) leg, dropping it when it reaches zero.
+func (a *incidence) addLeg(typ string, out bool, delta int32) {
+	for i := range a.legs {
+		l := &a.legs[i]
+		if l.Type != typ || l.Out != out {
+			continue
+		}
+		if l.Count += delta; l.Count == 0 {
+			last := len(a.legs) - 1
+			a.legs[i] = a.legs[last]
+			a.legs[last] = Leg{}
+			a.legs = a.legs[:last]
+		}
+		return
+	}
+	a.legs = append(a.legs, Leg{Type: typ, Out: out, Count: delta})
 }
 
 // Option configures a Graph at construction time.
@@ -42,8 +80,7 @@ func New(opts ...Option) *Graph {
 	g := &Graph{
 		vertices:       make(map[VertexID]*Vertex),
 		edges:          make(map[EdgeID]*Edge),
-		out:            make(map[VertexID][]*Edge),
-		in:             make(map[VertexID][]*Edge),
+		adj:            make(map[VertexID]*incidence),
 		verticesByType: make(map[string]map[VertexID]struct{}),
 		edgesByType:    make(map[string]int),
 	}
@@ -159,10 +196,26 @@ func (g *Graph) AddEdge(e Edge) (*Edge, error) {
 	ne := new(Edge)
 	*ne = e
 	g.edges[ne.ID] = ne
-	g.out[ne.Source] = append(g.out[ne.Source], ne)
-	g.in[ne.Target] = append(g.in[ne.Target], ne)
+	src := g.incidenceOf(ne.Source)
+	ne.outIdx = int32(len(src.out))
+	src.out = append(src.out, ne)
+	src.addLeg(ne.Type, true, 1)
+	dst := g.incidenceOf(ne.Target)
+	ne.inIdx = int32(len(dst.in))
+	dst.in = append(dst.in, ne)
+	dst.addLeg(ne.Type, ne.Source == ne.Target, 1)
 	g.edgesByType[ne.Type]++
 	return ne, nil
+}
+
+func (g *Graph) incidenceOf(v VertexID) *incidence {
+	a := g.adj[v]
+	if a == nil {
+		a = new(incidence)
+		a.legs = a.leg0[:0]
+		g.adj[v] = a
+	}
+	return a
 }
 
 // AddStreamEdge applies a StreamEdge: endpoint metadata is upserted and the
@@ -182,30 +235,35 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 		return &EdgeError{ID: id, Err: ErrEdgeNotFound}
 	}
 	delete(g.edges, id)
-	g.out[e.Source] = removeEdgeFrom(g.out[e.Source], id)
-	if len(g.out[e.Source]) == 0 {
-		delete(g.out, e.Source)
-	}
-	g.in[e.Target] = removeEdgeFrom(g.in[e.Target], id)
-	if len(g.in[e.Target]) == 0 {
-		delete(g.in, e.Target)
-	}
+	// The last entry of each list moves into the vacated slot. Matchers
+	// iterate these lists, so the order after a removal is part of the
+	// graph's observable behaviour.
+	src := g.adj[e.Source]
+	last := len(src.out) - 1
+	moved := src.out[last]
+	src.out[e.outIdx], moved.outIdx = moved, e.outIdx
+	src.out[last] = nil
+	src.out = src.out[:last]
+	src.addLeg(e.Type, true, -1)
+	dst := g.adj[e.Target]
+	last = len(dst.in) - 1
+	moved = dst.in[last]
+	dst.in[e.inIdx], moved.inIdx = moved, e.inIdx
+	dst.in[last] = nil
+	dst.in = dst.in[:last]
+	dst.addLeg(e.Type, e.Source == e.Target, -1)
+	g.dropIfIsolated(e.Source, src)
+	g.dropIfIsolated(e.Target, dst)
 	if g.edgesByType[e.Type]--; g.edgesByType[e.Type] <= 0 {
 		delete(g.edgesByType, e.Type)
 	}
 	return nil
 }
 
-func removeEdgeFrom(list []*Edge, id EdgeID) []*Edge {
-	for i, e := range list {
-		if e.ID == id {
-			last := len(list) - 1
-			list[i] = list[last]
-			list[last] = nil
-			return list[:last]
-		}
+func (g *Graph) dropIfIsolated(v VertexID, a *incidence) {
+	if len(a.out) == 0 && len(a.in) == 0 {
+		delete(g.adj, v)
 	}
-	return list
 }
 
 // RemoveIsolatedVertex removes v if it has no incident edges. It returns
@@ -215,28 +273,45 @@ func (g *Graph) RemoveIsolatedVertex(id VertexID) bool {
 	if !ok {
 		return false
 	}
-	if len(g.out[id]) > 0 || len(g.in[id]) > 0 {
+	if g.adj[id] != nil {
 		return false
 	}
 	g.unindexVertexType(v)
 	delete(g.vertices, id)
-	delete(g.out, id)
-	delete(g.in, id)
 	return true
 }
 
 // OutEdges returns the edges leaving v. The returned slice is owned by the
 // graph and must not be mutated.
-func (g *Graph) OutEdges(v VertexID) []*Edge { return g.out[v] }
+func (g *Graph) OutEdges(v VertexID) []*Edge {
+	if a := g.adj[v]; a != nil {
+		return a.out
+	}
+	return nil
+}
 
 // InEdges returns the edges entering v. The returned slice is owned by the
 // graph and must not be mutated.
-func (g *Graph) InEdges(v VertexID) []*Edge { return g.in[v] }
+func (g *Graph) InEdges(v VertexID) []*Edge {
+	if a := g.adj[v]; a != nil {
+		return a.in
+	}
+	return nil
+}
+
+// Legs returns v's leg counts, one per (edge type, orientation) present in
+// its incidence lists, in no particular order. The returned slice is owned
+// by the graph and must not be mutated.
+func (g *Graph) Legs(v VertexID) []Leg {
+	if a := g.adj[v]; a != nil {
+		return a.legs
+	}
+	return nil
+}
 
 // IncidentEdges returns all edges touching v, outgoing first.
 func (g *Graph) IncidentEdges(v VertexID) []*Edge {
-	out := g.out[v]
-	in := g.in[v]
+	out, in := g.OutEdges(v), g.InEdges(v)
 	if len(in) == 0 {
 		return out
 	}
@@ -247,25 +322,25 @@ func (g *Graph) IncidentEdges(v VertexID) []*Edge {
 }
 
 // Degree returns the total degree (in + out) of v.
-func (g *Graph) Degree(v VertexID) int { return len(g.out[v]) + len(g.in[v]) }
+func (g *Graph) Degree(v VertexID) int { return len(g.OutEdges(v)) + len(g.InEdges(v)) }
 
 // OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v VertexID) int { return len(g.OutEdges(v)) }
 
 // InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v VertexID) int { return len(g.InEdges(v)) }
 
 // Neighbors returns the distinct vertices adjacent to v in either direction.
 func (g *Graph) Neighbors(v VertexID) []VertexID {
 	seen := make(map[VertexID]struct{})
 	var out []VertexID
-	for _, e := range g.out[v] {
+	for _, e := range g.OutEdges(v) {
 		if _, ok := seen[e.Target]; !ok {
 			seen[e.Target] = struct{}{}
 			out = append(out, e.Target)
 		}
 	}
-	for _, e := range g.in[v] {
+	for _, e := range g.InEdges(v) {
 		if _, ok := seen[e.Source]; !ok {
 			seen[e.Source] = struct{}{}
 			out = append(out, e.Source)
@@ -277,7 +352,7 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 // EdgesBetween returns every edge from src to dst (directed).
 func (g *Graph) EdgesBetween(src, dst VertexID) []*Edge {
 	var out []*Edge
-	for _, e := range g.out[src] {
+	for _, e := range g.OutEdges(src) {
 		if e.Target == dst {
 			out = append(out, e)
 		}

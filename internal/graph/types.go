@@ -76,6 +76,10 @@ type Edge struct {
 	Type      string
 	Timestamp Timestamp
 	Attrs     Attributes
+
+	// outIdx and inIdx are the edge's positions in its source's out-list
+	// and its target's in-list while a Graph stores it, so removal is O(1).
+	outIdx, inIdx int32
 }
 
 // Clone returns a deep copy of the edge.

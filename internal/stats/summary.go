@@ -1,7 +1,7 @@
 // Package stats implements the summarization component of StreamWorks
 // (paper §4.3): it continuously collects summary statistics about the data
-// stream — degree distribution, vertex and edge type distributions and the
-// frequency distribution of multi-relational triads — and exposes
+// stream — edge and vertex totals, vertex and edge type distributions and
+// the frequency distribution of multi-relational triads — and exposes
 // selectivity estimates that the query planner uses to decide the
 // decomposition and join order of a query graph.
 package stats
@@ -25,8 +25,6 @@ type Summary struct {
 	vertexTypes   map[string]uint64
 	edgeTypes     map[string]uint64
 	seenVertices  map[graph.VertexID]string
-	degrees       map[graph.VertexID]int
-	degreeHist    *DegreeHistogram
 	triads        *TriadTable
 	triadSampling int // sample 1 in triadSampling edges for triad counting; 0 disables
 	observed      uint64
@@ -35,23 +33,23 @@ type Summary struct {
 // Option configures a Summary.
 type Option func(*Summary)
 
-// WithTriadSampling sets the sampling rate for triad statistics: one in n
-// arriving edges triggers a scan of its endpoints' incident edges. n = 1
-// counts every edge, n = 0 disables triad collection entirely.
+// WithTriadSampling sets the sampling rate for triad statistics: the wedges
+// of one in n arriving edges are counted. n = 1 counts every edge, n = 0
+// disables triad collection entirely. A counted edge costs the same at any
+// endpoint degree (see TriadTable.ObserveEdge), so the rate trades only the
+// triad table's resolution against a small constant per edge.
 func WithTriadSampling(n int) Option {
 	return func(s *Summary) { s.triadSampling = n }
 }
 
 // NewSummary constructs an empty summary. By default triads are sampled on
-// every tenth edge, which keeps the per-edge overhead bounded on skewed
-// graphs while converging to the same ranking of triad frequencies.
+// every tenth edge, which converges to the same ranking of triad
+// frequencies as counting every edge.
 func NewSummary(opts ...Option) *Summary {
 	s := &Summary{
 		vertexTypes:   make(map[string]uint64),
 		edgeTypes:     make(map[string]uint64),
 		seenVertices:  make(map[graph.VertexID]string),
-		degrees:       make(map[graph.VertexID]int),
-		degreeHist:    NewDegreeHistogram(),
 		triads:        NewTriadTable(),
 		triadSampling: 10,
 	}
@@ -74,9 +72,6 @@ func (s *Summary) Observe(se graph.StreamEdge, g *graph.Graph) {
 
 	s.observeVertex(se.Edge.Source, se.SourceType)
 	s.observeVertex(se.Edge.Target, se.TargetType)
-
-	s.bumpDegree(se.Edge.Source)
-	s.bumpDegree(se.Edge.Target)
 
 	if g != nil && s.triadSampling > 0 && s.observed%uint64(s.triadSampling) == 0 {
 		s.triads.ObserveEdge(g, &se.Edge, s.vertexTypeOf)
@@ -119,12 +114,6 @@ func (s *Summary) observeVertex(id graph.VertexID, typ string) {
 }
 
 func (s *Summary) vertexTypeOf(id graph.VertexID) string { return s.seenVertices[id] }
-
-func (s *Summary) bumpDegree(id graph.VertexID) {
-	old := s.degrees[id]
-	s.degrees[id] = old + 1
-	s.degreeHist.Move(old, old+1)
-}
 
 // TotalEdges returns the number of edges observed.
 func (s *Summary) TotalEdges() uint64 {
@@ -169,14 +158,6 @@ func (s *Summary) VertexTypeDistribution() []TypeCount {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return sortedCounts(s.vertexTypes)
-}
-
-// DegreeHistogramSnapshot returns a copy of the log-bucketed degree
-// histogram.
-func (s *Summary) DegreeHistogramSnapshot() []BucketCount {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.degreeHist.Snapshot()
 }
 
 // MeanDegree returns the average degree over all observed vertices.

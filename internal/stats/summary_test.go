@@ -71,49 +71,6 @@ func TestSummaryMeanDegree(t *testing.T) {
 	}
 }
 
-func TestSummaryDegreeHistogram(t *testing.T) {
-	s := NewSummary()
-	// Create a star: vertex 0 gets degree 8, the leaves degree 1.
-	for i := 1; i <= 8; i++ {
-		s.Observe(flowEdge(graph.EdgeID(i), 0, graph.VertexID(i), "flow", "Hub", "Leaf", graph.Timestamp(i)), nil)
-	}
-	snap := s.DegreeHistogramSnapshot()
-	var total uint64
-	for _, b := range snap {
-		total += b.Count
-	}
-	if total != 9 {
-		t.Fatalf("histogram should cover 9 vertices, got %d (%v)", total, snap)
-	}
-	// The hub must be in the bucket whose Low is 8.
-	foundHub := false
-	for _, b := range snap {
-		if b.Low == 8 && b.Count == 1 {
-			foundHub = true
-		}
-	}
-	if !foundHub {
-		t.Fatalf("hub not in degree-8 bucket: %v", snap)
-	}
-}
-
-func TestDegreeHistogramMove(t *testing.T) {
-	h := NewDegreeHistogram()
-	h.Move(0, 1)
-	h.Move(1, 2)
-	h.Move(2, 3)
-	snap := h.Snapshot()
-	if len(snap) != 1 || snap[0].Low != 2 || snap[0].Count != 1 {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-	if bucketOf(1) != 0 || bucketOf(2) != 1 || bucketOf(3) != 1 || bucketOf(4) != 2 || bucketOf(1024) != 10 {
-		t.Fatalf("bucketOf boundaries wrong")
-	}
-	if h.String() == "" {
-		t.Fatalf("String() empty")
-	}
-}
-
 func TestSummaryTriadCollection(t *testing.T) {
 	g := graph.New(graph.WithAutoVertices())
 	s := NewSummary(WithTriadSampling(1))

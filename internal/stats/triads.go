@@ -69,32 +69,43 @@ func NewTriadTable() *TriadTable {
 // incident to its endpoints in g. typeOf resolves vertex types for centre
 // vertices (the summary knows types even for vertices whose metadata arrived
 // on earlier edges).
+//
+// The wedges come from g's per-vertex leg counts, so the cost is the number
+// of distinct (edge type, orientation) legs at the endpoints, not their
+// degree. The counts equal those of a scan of both endpoints' incidence
+// lists that skips the entries of the edge stored under e.ID.
 func (t *TriadTable) ObserveEdge(g *graph.Graph, e *graph.Edge, typeOf func(graph.VertexID) string) {
-	t.observeAround(g, e, e.Source, typeOf)
+	stored, _ := g.Edge(e.ID)
+	t.observeAround(g, e, stored, e.Source, typeOf)
 	if e.Target != e.Source {
-		t.observeAround(g, e, e.Target, typeOf)
+		t.observeAround(g, e, stored, e.Target, typeOf)
 	}
 }
 
-func (t *TriadTable) observeAround(g *graph.Graph, e *graph.Edge, center graph.VertexID, typeOf func(graph.VertexID) string) {
+func (t *TriadTable) observeAround(g *graph.Graph, e, stored *graph.Edge, center graph.VertexID, typeOf func(graph.VertexID) string) {
 	ct := typeOf(center)
 	newOut := e.Source == center
-	// Walk the two incidence lists directly; IncidentEdges would allocate a
-	// combined slice per observed edge.
-	observe := func(other *graph.Edge) {
-		if other.ID == e.ID {
-			return
+	// The stored edge has one entry at center per endpoint it has there,
+	// both in the leg (stored.Type, stored.Source == center).
+	var own int32
+	if stored != nil {
+		if stored.Source == center {
+			own++
 		}
-		otherOut := other.Source == center
-		key := canonicalTriad(ct, e.Type, newOut, other.Type, otherOut)
-		t.counts[key]++
-		t.total++
+		if stored.Target == center {
+			own++
+		}
 	}
-	for _, other := range g.OutEdges(center) {
-		observe(other)
-	}
-	for _, other := range g.InEdges(center) {
-		observe(other)
+	for _, l := range g.Legs(center) {
+		n := l.Count
+		if own > 0 && l.Type == stored.Type && l.Out == (stored.Source == center) {
+			n -= own
+		}
+		if n == 0 {
+			continue
+		}
+		t.counts[canonicalTriad(ct, e.Type, newOut, l.Type, l.Out)] += uint64(n)
+		t.total += uint64(n)
 	}
 }
 

@@ -108,7 +108,7 @@ func WithSlack(d time.Duration) Option {
 	return func(c *config) { c.engine.Slack = d }
 }
 
-// WithSummaries toggles continuous stream-statistics collection (degree,
+// WithSummaries toggles continuous stream-statistics collection (totals,
 // type and triad distributions) used by the selective query planner.
 // In-process backends only; default on.
 func WithSummaries(enabled bool) Option {
