@@ -505,24 +505,45 @@ func (e *Engine) Advance(ts graph.Timestamp) {
 // never narrower than the widest window); for window-less queries, matches
 // referencing edges that have expired from the sliding window — without the
 // expiry batch those partials would accumulate forever.
+//
+// It then sweeps the exactly-once emitted sets against the graph's expiry
+// cutoff. After the prune no stored match binds an edge older than the
+// cutoff, and no live edge is older either, so a remembered emission that
+// starts before it can never be derived again. Unbounded retention keeps
+// every entry.
 func (e *Engine) pruneAll() {
 	e.metrics.PruneRuns++
 	wm := e.dyn.Watermark()
 	if e.dag != nil {
 		e.metrics.PartialsPruned += uint64(e.dag.Prune(wm, e.expiredPending))
-		clear(e.expiredPending)
-		return
-	}
-	for _, name := range e.order {
-		reg := e.registrations[name]
-		if w := reg.query.Window(); w > 0 {
-			cutoff := wm - graph.Timestamp(w)
-			e.metrics.PartialsPruned += uint64(reg.tree.Prune(cutoff))
-		} else {
-			e.metrics.PartialsPruned += uint64(reg.tree.PruneExpiredEdges(e.expiredPending))
+	} else {
+		for _, name := range e.order {
+			reg := e.registrations[name]
+			if w := reg.query.Window(); w > 0 {
+				cutoff := wm - graph.Timestamp(w)
+				e.metrics.PartialsPruned += uint64(reg.tree.Prune(cutoff))
+			} else {
+				e.metrics.PartialsPruned += uint64(reg.tree.PruneExpiredEdges(e.expiredPending))
+			}
 		}
 	}
 	clear(e.expiredPending)
+	if w := e.dyn.Window(); w > 0 {
+		e.sweepEmitted(wm - graph.Timestamp(w))
+	}
+}
+
+// sweepEmitted forgets, in every registration's emitted set, the emissions
+// whose span starts before cutoff.
+func (e *Engine) sweepEmitted(cutoff graph.Timestamp) {
+	for _, name := range e.order {
+		reg := e.registrations[name]
+		if reg.tree != nil {
+			reg.tree.SweepEmitted(cutoff)
+		} else {
+			reg.att.Emitted().Sweep(cutoff)
+		}
+	}
 }
 
 // Metrics returns a snapshot of engine counters, including per-query detail.
@@ -555,6 +576,7 @@ func (e *Engine) Metrics() Metrics {
 			m.LocalSearches += reg.localSearches
 			qm.PartialMatches = reg.tree.PartialMatchCount()
 			qm.LocalSearches = reg.localSearches
+			qm.EmittedTracked = reg.tree.EmittedTracked()
 			qm.Nodes = reg.nodeMetrics()
 		} else {
 			// Shared mode: the per-query view of the DAG. LocalSearches
@@ -563,7 +585,9 @@ func (e *Engine) Metrics() Metrics {
 			// actual cost, and the gap between the two is the sharing win.
 			qm.PartialMatches = reg.att.PartialMatches()
 			qm.LocalSearches = reg.att.LeafSearches()
+			qm.EmittedTracked = reg.att.Emitted().Len()
 		}
+		m.EmittedTracked += qm.EmittedTracked
 		if n := len(reg.audits); n > 0 {
 			audit := reg.audits[n-1]
 			qm.LastReplanAudit = &audit

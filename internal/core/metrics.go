@@ -23,6 +23,11 @@ type Metrics struct {
 	// PartialMatches is the number of partial matches currently stored
 	// across all SJ-Trees (memory pressure proxy).
 	PartialMatches int
+	// EmittedTracked is the number of emitted matches currently remembered
+	// by the per-query exactly-once sets, summed over registrations. Entries
+	// are forgotten once their oldest edge leaves the retention window, so
+	// under a bounded window it plateaus instead of growing with the stream.
+	EmittedTracked int
 	// PartialsPruned is the cumulative number of partial matches discarded
 	// because they could no longer complete within their query windows.
 	PartialsPruned uint64
@@ -60,6 +65,9 @@ type QueryMetrics struct {
 	Matches        uint64
 	PartialMatches int
 	LocalSearches  uint64
+	// EmittedTracked is the size of the query's exactly-once emitted set
+	// (summed across shards).
+	EmittedTracked int
 	// Plan detail: Adaptive reports whether the registration opted into
 	// re-planning, PlanGeneration is the running plan's generation (1 = the
 	// registration-time plan; sharded engines report the maximum across

@@ -18,7 +18,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -431,7 +430,7 @@ func (m *Match) SameEdges(o *Match) bool {
 // data-edge binding: the identity of the match and nothing else. Long-lived
 // dedup sets (e.g. the SJ-Tree's emitted-match set) store EdgeSets so they
 // never pin whole Match values — vertex bindings, spans and cache fields —
-// for the lifetime of the stream.
+// for as long as an entry stays in the retention window.
 type EdgeSet struct {
 	edges []uint64 // dense binding, trailing unbound slots trimmed
 }
@@ -522,21 +521,68 @@ func (m *Match) ProjectKey(vertices []query.VertexID) string {
 }
 
 // Signature returns a canonical string identifying the exact set of data
-// edges bound by the match. Two matches with the same signature describe the
-// same data subgraph assignment. The engine's hot path deduplicates on
+// edges bound by the match: the "qe:de" pairs, comma-joined in ascending
+// string order. Two matches with the same signature describe the same data
+// subgraph assignment. The engine's hot path deduplicates on
 // EdgeSetHash/SameEdges instead; the string form survives at the
 // export/report boundary (export.MatchReport, remote match-set comparison)
-// and is byte-identical to the pre-refactor format.
+// and is byte-identical to the pre-refactor format. It is built with a
+// single allocation for patterns of up to 32 edges.
 func (m *Match) Signature() string {
-	parts := make([]string, 0, m.ne)
+	var orderBuf [32]int32
+	order := orderBuf[:0]
+	size := -1 // no comma before the first pair
 	for qe, de := range m.edges {
 		if de == unbound {
 			continue
 		}
-		parts = append(parts, strconv.Itoa(qe)+":"+strconv.FormatUint(de, 10))
+		order = append(order, int32(qe))
+		size += decimalLen(uint64(qe)) + decimalLen(de) + 2
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	if len(order) == 0 {
+		return ""
+	}
+	// The pairs sort by their "qe:" prefix, pattern-edge IDs being
+	// distinct. Below 10 that is index order, which order already has;
+	// wider patterns need the string order ("10:" < "1:" < "2:").
+	if len(m.edges) > 10 {
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && sigPrefixLess(order[j], order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var num [20]byte
+	for i, qe := range order {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.Write(strconv.AppendInt(num[:0], int64(qe), 10))
+		sb.WriteByte(':')
+		sb.Write(strconv.AppendUint(num[:0], m.edges[qe], 10))
+	}
+	return sb.String()
+}
+
+// sigPrefixLess orders two distinct pattern-edge IDs as their "qe:"
+// signature prefixes compare as strings.
+func sigPrefixLess(a, b int32) bool {
+	var ab, bb [12]byte
+	x := append(strconv.AppendInt(ab[:0], int64(a), 10), ':')
+	y := append(strconv.AppendInt(bb[:0], int64(b), 10), ':')
+	return string(x) < string(y)
+}
+
+// decimalLen returns the number of decimal digits of x.
+func decimalLen(x uint64) int {
+	n := 1
+	for x >= 10 {
+		x /= 10
+		n++
+	}
+	return n
 }
 
 // Complete reports whether the match covers every vertex and edge of q.

@@ -60,9 +60,10 @@ func (a *Attachment) PreAttachMatches() uint64 { return a.preAttach }
 // backfill leaves this attachment created.
 func (a *Attachment) ReplayedEdges() uint64 { return a.replayedEdges }
 
-// Emitted exposes the attachment's exactly-once emission set so a plan swap
-// can move it onto the replacement attachment (sjtree.Tree.InheritEmitted's
-// shared-plan counterpart).
+// Emitted exposes the attachment's exactly-once emission set: a plan swap
+// moves it onto the replacement attachment (sjtree.Tree.InheritEmitted's
+// shared-plan counterpart), and the engine sweeps it against the expiry
+// cutoff after each prune.
 func (a *Attachment) Emitted() *sjtree.EmittedSet { return a.emitted }
 
 // LeafSearches sums the local searches of the attachment's leaf nodes. The

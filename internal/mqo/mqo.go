@@ -21,8 +21,9 @@
 // identical set of query-space matches a private tree would have computed,
 // so emissions are byte-identical to per-query mode. Per-query emission
 // semantics are preserved exactly: each attachment keeps its own emitted-set
-// (exactly-once per distinct data-edge binding), its own window filter at
-// delivery, and its own callback.
+// (exactly-once per distinct data-edge binding, with entries forgotten once
+// their oldest edge has left the retention window, exactly like a private
+// tree's), its own window filter at delivery, and its own callback.
 //
 // Like the core engine, a DAG is single-goroutine state: the engine's driver
 // goroutine calls ProcessEdge/Attach/Detach/Prune, never concurrently.

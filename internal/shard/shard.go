@@ -671,6 +671,7 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 		m.EdgesDropped += sm.EdgesDropped
 		m.LocalSearches += sm.LocalSearches
 		m.PartialMatches += sm.PartialMatches
+		m.EmittedTracked += sm.EmittedTracked
 		m.PartialsPruned += sm.PartialsPruned
 		m.PruneRuns += sm.PruneRuns
 		m.LiveEdges += sm.LiveEdges
@@ -687,6 +688,7 @@ func (s *ShardedEngine) Metrics() core.Metrics {
 				m.Queries = append(m.Queries, core.QueryMetrics{Name: qm.Name, Strategy: qm.Strategy})
 			}
 			m.Queries[idx].PartialMatches += qm.PartialMatches
+			m.Queries[idx].EmittedTracked += qm.EmittedTracked
 			m.Queries[idx].LocalSearches += qm.LocalSearches
 			// Each shard re-plans against its own partition's statistics, so
 			// plan state can legitimately differ per shard: report the

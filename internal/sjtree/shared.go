@@ -1,6 +1,7 @@
 package sjtree
 
 import (
+	"github.com/streamworks/streamworks/internal/graph"
 	"github.com/streamworks/streamworks/internal/match"
 )
 
@@ -135,7 +136,8 @@ func (p *Partition) PruneWhere(drop func(*match.Match) bool) int {
 // binding — the per-consumer half of acceptComplete, split out so a shared
 // DAG root can fan a complete match out to many queries, each with its own
 // exactly-once emission set. Entries are compact EdgeSet copies, like a
-// tree's complete-signature set.
+// tree's complete-signature set, and are forgotten by Sweep once their
+// oldest edge has left the retention window.
 type EmittedSet struct {
 	set   completeSet
 	total uint64
@@ -159,6 +161,14 @@ func (s *EmittedSet) Add(m *match.Match) bool {
 
 // Total returns the number of distinct matches recorded.
 func (s *EmittedSet) Total() uint64 { return s.total }
+
+// Len returns the number of emissions currently remembered for dedup.
+func (s *EmittedSet) Len() int { return s.set.len() }
+
+// Sweep forgets the emissions whose span starts before cutoff, the dynamic
+// graph's expiry cutoff, once the set has grown enough since its last sweep
+// to pay for the scan. It returns the number of entries removed.
+func (s *EmittedSet) Sweep(cutoff graph.Timestamp) int { return s.set.sweep(cutoff) }
 
 // DuplicateDrops returns how many Add calls were rejected as duplicates.
 func (s *EmittedSet) DuplicateDrops() uint64 { return s.dups }

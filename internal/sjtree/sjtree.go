@@ -347,6 +347,21 @@ func (t *Tree) PruneExpiredEdges(ids map[graph.EdgeID]struct{}) int {
 	})
 }
 
+// SweepEmitted forgets remembered emissions whose span starts before
+// cutoff, the dynamic graph's expiry cutoff (watermark minus retention).
+// Every edge older than cutoff has been evicted, and once the engine has
+// pruned the partial matches binding them no derivation can reach such a
+// match again, so its dedup entry is dead weight. The scan runs only when
+// the set has doubled since the previous one. It returns the number of
+// entries removed.
+func (t *Tree) SweepEmitted(cutoff graph.Timestamp) int {
+	return t.completeSignatures.sweep(cutoff)
+}
+
+// EmittedTracked returns the number of emissions the tree currently
+// remembers for exactly-once dedup.
+func (t *Tree) EmittedTracked() int { return t.completeSignatures.len() }
+
 // PartialMatchCount returns the total number of matches stored across all
 // non-root nodes: the memory-pressure metric of the plan-quality experiments.
 func (t *Tree) PartialMatchCount() int {
